@@ -11,9 +11,11 @@ module M = Ximd_machine
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
    §5).  The loop works entirely in the preallocated [state.scratch]
-   buffers: a steady-state cycle allocates nothing beyond the boxed ALU
-   results and, when the control signatures changed, a fresh
-   partition. *)
+   buffers, on immediate values and int-coded partition labels: with no
+   hooks attached and no hazard reported, a cycle allocates nothing.
+   Hence plain loops instead of local recursive functions (a closure
+   that captures state is allocated on every call) and no tuples or
+   options per stream. *)
 
 type model = Per_fu | Global | Banked
 
@@ -22,11 +24,17 @@ let n_streams model ~n =
 
 (* Streams are contiguous FU ranges [leader..last]; the leader's parcel
    carries the stream's control fields. *)
-let[@inline] stream_bounds model ~n k =
+let[@inline] stream_leader model ~n k =
   match model with
-  | Per_fu -> (k, k)
-  | Global -> (0, n - 1)
-  | Banked -> if k = 0 then (0, (n / 2) - 1) else (n / 2, n - 1)
+  | Per_fu -> k
+  | Global -> 0
+  | Banked -> if k = 0 then 0 else n / 2
+
+let[@inline] stream_last model ~n k =
+  match model with
+  | Per_fu -> k
+  | Global -> n - 1
+  | Banked -> if k = 0 then (n / 2) - 1 else n - 1
 
 (* The FU a stream's hazards (fell-off-end, undefined CC) are attributed
    to: its sequencer.  The global sequencer is not an FU of its own, so
@@ -36,10 +44,11 @@ let[@inline] seq_fu model (state : State.t) ~leader ~last =
   match model with
   | Per_fu | Banked -> leader
   | Global ->
-    let rec first fu =
-      if fu >= last || not state.halted.(fu) then fu else first (fu + 1)
-    in
-    first leader
+    let fu = ref leader in
+    while !fu < last && state.halted.(!fu) do
+      incr fu
+    done;
+    !fu
 
 let bank_consistent program =
   let n = Program.n_fus program in
@@ -75,7 +84,7 @@ let[@inline] hook_cycle_top ?tracer (state : State.t) =
      (* same timing as the tracer snapshot: the partition in effect at
         the top of the cycle, before faults land *)
      Ximd_obs.Sink.on_partition obs ~cycle:state.cycle
-       ~ssets:(Partition.ssets state.partition));
+       ~ssets:(Partition.ssets (State.partition state)));
   match state.faults with
   | None -> ()
   | Some f -> Exec.apply_faults state f
@@ -196,8 +205,8 @@ let[@inline] hook_bind model (state : State.t) ~ns =
           match s.ctrl.(k).control with
           | Control.Branch { cond; _ } when not (Cond.is_unconditional cond)
             ->
-            let leader, last = stream_bounds model ~n k in
-            bind_stream state obs ~leader ~last cond
+            bind_stream state obs ~leader:(stream_leader model ~n k)
+              ~last:(stream_last model ~n k) cond
           | Control.Branch _ | Control.Halt -> ()
       done
     end
@@ -271,21 +280,90 @@ let[@inline] halt_fu model (state : State.t) ~fu =
   hook_halt state ~fu
 
 (* ------------------------------------------------------------------ *)
-(* Partition update from control signatures.  Spin loops re-execute the
-   same signatures for many cycles, so reuse the previous partition when
-   nothing changed. *)
+(* SSET labels (DESIGN.md §5).  [state.labels.(fu)] is the lowest FU
+   whose partition key equals [fu]'s; keys are ints in [state.scratch],
+   so relabelling compares ints and allocates nothing. *)
 
-let rec sigs_equal (a : Control.t array) b fu n =
-  fu >= n || (Control.equal a.(fu) b.(fu) && sigs_equal a b (fu + 1) n)
+let halt_key = -1
 
-let update_partition (state : State.t) n =
-  let s = state.scratch in
-  let sigs = s.sigs in
-  if not (s.prev_sigs_valid && sigs_equal sigs s.prev_sigs 0 n) then begin
-    state.partition <- Partition.of_signatures sigs;
-    Array.blit sigs 0 s.prev_sigs 0 n;
-    s.prev_sigs_valid <- true
-  end
+(* Injective over the conditions a normalised key can carry ([Always2]
+   normalises away). *)
+let[@inline] cond_code (cond : Cond.t) =
+  match cond with
+  | Cond.Always1 -> 0
+  | Cond.Always2 -> 1
+  | Cond.Cc j -> 2 + (j lsl 3)
+  | Cond.Ss j -> 3 + (j lsl 3)
+  | Cond.All_ss mask -> 4 + (mask lsl 3)
+  | Cond.Any_ss mask -> 5 + (mask lsl 3)
+
+let[@inline] set_key (s : State.scratch) ~fu c t1 t2 =
+  s.key_c.(fu) <- c;
+  s.key_t1.(fu) <- t1;
+  s.key_t2.(fu) <- t2
+
+(* [fu]'s key under per-FU sequencing: the normalised signature
+   ({!Control.normalised_signature}) of the control operation it just
+   executed, decomposed into (condition, target 1, target 2). *)
+let set_executed_key (s : State.scratch) ~fu =
+  if not s.was_live.(fu) then set_key s ~fu halt_key 0 0
+  else
+    match s.parcels.(fu).control with
+    | Control.Halt -> set_key s ~fu halt_key 0 0
+    | Control.Branch { cond; _ } as control ->
+      let pc = s.old_pcs.(fu) in
+      let r1 = Control.next_pc control ~pc ~taken:true
+      and r2 = Control.next_pc control ~pc ~taken:false in
+      if r1 = r2 then set_key s ~fu 0 r1 r1
+      else begin
+        match cond with
+        | Cond.Always1 -> set_key s ~fu 0 r1 r1
+        | Cond.Always2 -> set_key s ~fu 0 r2 r2
+        | Cond.Cc _ | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ ->
+          set_key s ~fu (cond_code cond) r1 r2
+      end
+
+(* Each FU takes the label of the first lower SSET leader with an equal
+   key, or its own index. *)
+let relabel (state : State.t) n =
+  let s = state.scratch and labels = state.labels in
+  for fu = 0 to n - 1 do
+    let label = ref fu and j = ref 0 in
+    while !j < fu do
+      let l = !j in
+      if labels.(l) = l
+         && s.key_c.(l) = s.key_c.(fu)
+         && s.key_t1.(l) = s.key_t1.(fu)
+         && s.key_t2.(l) = s.key_t2.(fu)
+      then begin
+        label := l;
+        j := fu
+      end
+      else incr j
+    done;
+    labels.(fu) <- !label
+  done
+
+(* SSETs with a live member: one bit per label (labels are FU indices,
+   so one int holds them all). *)
+let live_sets (state : State.t) n =
+  let mask = ref 0 in
+  for fu = 0 to n - 1 do
+    if not state.halted.(fu) then mask := !mask lor (1 lsl state.labels.(fu))
+  done;
+  let m = ref !mask and count = ref 0 in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr count
+  done;
+  !count
+
+(* A bank's key: the address its sequencer fetches next, or halt. *)
+let[@inline] bank_key (state : State.t) ~leader ~len =
+  if state.halted.(leader) then halt_key
+  else
+    let pc = state.pcs.(leader) in
+    if pc >= 0 && pc < len then pc else halt_key
 
 (* ------------------------------------------------------------------ *)
 
@@ -309,7 +387,8 @@ let step model ?tracer (state : State.t) =
        program has fallen off the end: report against the sequencer's FU
        and treat the stream as fetching halt parcels. *)
     for k = 0 to ns - 1 do
-      let leader, last = stream_bounds model ~n k in
+      let leader = stream_leader model ~n k
+      and last = stream_last model ~n k in
       let live =
         match model with
         | Per_fu | Banked -> not state.halted.(leader)
@@ -354,8 +433,11 @@ let step model ?tracer (state : State.t) =
         match ctrl.(k).control with
         | Control.Halt -> false
         | Control.Branch { cond; _ } ->
-          let leader, last = stream_bounds model ~n k in
-          Exec.eval_cond state ~fu:(seq_fu model state ~leader ~last) cond
+          Exec.eval_cond state
+            ~fu:
+              (seq_fu model state ~leader:(stream_leader model ~n k)
+                 ~last:(stream_last model ~n k))
+            cond
     done;
     (* Critical-path only: bind conditional branches' control producers
        against the same start-of-cycle state the evaluation read. *)
@@ -375,7 +457,8 @@ let step model ?tracer (state : State.t) =
     for k = 0 to ns - 1 do
       s.spun.(k) <- false;
       if str_live.(k) then begin
-        let leader, last = stream_bounds model ~n k in
+        let leader = stream_leader model ~n k
+        and last = stream_last model ~n k in
         match ctrl.(k).control with
         | Control.Halt ->
           for fu = leader to last do
@@ -391,33 +474,30 @@ let step model ?tracer (state : State.t) =
           if not (Cond.is_unconditional cond) then
             stats.cond_branches <- stats.cond_branches + 1;
           let pc = old_pcs.(leader) in
-          (match Control.resolve control ~pc ~taken:taken.(k) with
-           | Some next ->
-             let spinning = next = pc && not (Cond.is_unconditional cond) in
-             s.spun.(k) <- spinning;
-             (* one spin slot per issuing member, not per sequencer: a
-                spinning k-FU stream wastes k slots (the accounting
-                conservation property flushed out the old per-stream
-                charge, which understated Global/Banked spins) *)
-             if spinning then
-               for fu = leader to last do
-                 if was_live.(fu) then
-                   stats.spin_slots <- stats.spin_slots + 1
-               done;
-             for fu = leader to last do
-               state.pcs.(fu) <- next
-             done;
-             hook_control state ~fu:leader ~pc ~spinning
-               ~sync:(Cond.is_sync cond)
-           | None -> assert false)
+          let next = Control.next_pc control ~pc ~taken:taken.(k) in
+          let spinning = next = pc && not (Cond.is_unconditional cond) in
+          s.spun.(k) <- spinning;
+          (* one spin slot per issuing member, not per sequencer: a
+             spinning k-FU stream wastes k slots (the accounting
+             conservation property flushed out the old per-stream
+             charge, which understated Global/Banked spins) *)
+          if spinning then
+            for fu = leader to last do
+              if was_live.(fu) then stats.spin_slots <- stats.spin_slots + 1
+            done;
+          for fu = leader to last do
+            state.pcs.(fu) <- next
+          done;
+          hook_control state ~fu:leader ~pc ~spinning
+            ~sync:(Cond.is_sync cond)
       end
     done;
-    (* Partition recompute — the point where the models genuinely
-       diverge (paper Figure 3):
+    (* Relabel — the point where the models genuinely diverge (paper
+       Figure 3):
        - per-FU sequencers group FUs by the normalised signatures of the
          control operations they just executed (see {!Partition});
        - the global sequencer's partition is fixed at the initial full
-         SSET;
+         SSET (the labels stay all 0);
        - the banked machine groups by each bank's forthcoming address:
          banks at the same PC next cycle merge, as in lock-step mode. *)
     let live_streams =
@@ -426,29 +506,21 @@ let step model ?tracer (state : State.t) =
         if stats.max_streams < 1 then stats.max_streams <- 1;
         if State.all_halted state then 0 else 1
       | Per_fu ->
-        let sigs = s.sigs in
         for fu = 0 to n - 1 do
-          sigs.(fu) <-
-            (if was_live.(fu) then
-               Control.normalised_signature parcels.(fu).control
-                 ~pc:old_pcs.(fu)
-             else Control.Halt)
+          set_executed_key s ~fu
         done;
-        update_partition state n;
-        Partition.count_live state.partition ~halted:state.halted
+        relabel state n;
+        live_sets state n
       | Banked ->
-        let sigs = s.sigs in
         let half = n / 2 in
-        for fu = 0 to n - 1 do
-          let leader = if fu < half then 0 else half in
-          sigs.(fu) <-
-            (if state.halted.(leader) then Control.Halt
-             else
-               let pc = state.pcs.(leader) in
-               if pc >= 0 && pc < len then Control.goto pc else Control.Halt)
-        done;
-        update_partition state n;
-        Partition.count_live state.partition ~halted:state.halted
+        let upper =
+          if bank_key state ~leader:0 ~len = bank_key state ~leader:half ~len
+          then 0
+          else half
+        in
+        Array.fill state.labels 0 half 0;
+        Array.fill state.labels half (n - half) upper;
+        live_sets state n
     in
     if live_streams > stats.max_streams then stats.max_streams <- live_streams;
     hook_slots model state;

@@ -31,10 +31,13 @@
     through this one pipeline via inline hook helpers, each costing a
     single predictable branch when off; no per-engine copy exists.
 
-    The hot loop is allocation-free: it works entirely in the
-    preallocated [state.scratch] buffers, and a steady-state cycle
-    allocates nothing beyond boxed ALU results and — only when the
-    control signatures changed — a fresh partition. *)
+    The hot loop is allocation-free: with no hooks attached (no tracer,
+    sink, fault session or watchdog) and no hazard reported, a cycle
+    allocates nothing.  It works in the preallocated [state.scratch]
+    buffers on immediate {!Ximd_isa.Value.t}s, and keeps the partition
+    as one SSET label per FU ([state.labels]), materialising a
+    {!Partition.t} only for observers ({!State.partition}).  A test pins
+    zero minor words per steady-state cycle. *)
 
 type model =
   | Per_fu  (** one sequencer per FU: the XIMD machine ({!Xsim}) *)
@@ -46,11 +49,6 @@ type model =
 val n_streams : model -> n:int -> int
 (** Number of sequencer-led streams on an [n]-FU machine: [n], [1] and
     [2] respectively. *)
-
-val stream_bounds : model -> n:int -> int -> int * int
-(** [stream_bounds model ~n k] is the contiguous FU range
-    [(leader, last)] of stream [k].  The leader's parcel carries the
-    stream's control fields. *)
 
 val bank_consistent : Program.t -> bool
 (** Whether every row's parcels agree with their bank leader's control

@@ -12,7 +12,8 @@ let undefined_cc (state : State.t) ~fu j =
   false
 
 (* Specialised over {!Ximd_isa.Cond.eval} so the per-cycle path builds
-   no closures and no mask lists. *)
+   no closures and no mask lists: plain loops, since a local recursive
+   function capturing [state] would be allocated on every call. *)
 let eval_cond (state : State.t) ~fu cond =
   match (cond : Cond.t) with
   | Cond.Always1 -> true
@@ -23,23 +24,30 @@ let eval_cond (state : State.t) ~fu cond =
     | None -> undefined_cc state ~fu j)
   | Cond.Ss j -> Sync.equal state.sss.(j) Sync.Done
   | Cond.All_ss mask ->
-    let rec all i =
-      1 lsl i > mask
-      || (mask land (1 lsl i) = 0 || Sync.equal state.sss.(i) Sync.Done)
-         && all (i + 1)
-    in
-    all 0
+    let i = ref 0 in
+    while
+      1 lsl !i <= mask
+      && (mask land (1 lsl !i) = 0 || Sync.equal state.sss.(!i) Sync.Done)
+    do
+      incr i
+    done;
+    1 lsl !i > mask
   | Cond.Any_ss mask ->
-    let rec any i =
-      1 lsl i <= mask
-      && ((mask land (1 lsl i) <> 0 && Sync.equal state.sss.(i) Sync.Done)
-          || any (i + 1))
-    in
-    any 0
+    let i = ref 0 in
+    while
+      1 lsl !i <= mask
+      && not (mask land (1 lsl !i) <> 0 && Sync.equal state.sss.(!i) Sync.Done)
+    do
+      incr i
+    done;
+    1 lsl !i <= mask
 
 let operand_value (state : State.t) = function
   | Operand.Reg r -> M.Regfile.read state.regs r
   | Operand.Imm v -> v
+
+(* Addresses and port numbers: the operand's signed 32-bit view. *)
+let operand_int state op = (operand_value state op : Value.t :> int)
 
 (* Register/memory results commit at the end of cycle
    [issue + result_latency - 1]; latency 1 (the research model) stages
@@ -150,25 +158,22 @@ let exec_data (state : State.t) ~fu (data : Parcel.data) =
   | Parcel.Dload { a; b; d } ->
     stats.mem_ops <- stats.mem_ops + 1;
     let addr =
-      Int32.to_int
-        (Int32.add
-           (Value.to_int32 (operand_value state a))
-           (Value.to_int32 (operand_value state b)))
+      (Value.of_int (operand_int state a + operand_int state b) :> int)
     in
     stage_reg_write state ~fu d
       (M.Memory.read state.mem ~fu ~cycle:state.cycle ~log:state.log addr)
   | Parcel.Dstore { a; b } ->
     stats.mem_ops <- stats.mem_ops + 1;
-    let addr = Int32.to_int (Value.to_int32 (operand_value state b)) in
+    let addr = operand_int state b in
     stage_mem_write state ~fu addr (operand_value state a)
   | Parcel.Din { port; d } ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = Int32.to_int (Value.to_int32 (operand_value state port)) in
+    let port = operand_int state port in
     stage_reg_write state ~fu d
       (M.Ioport.read state.io ~fu ~cycle:state.cycle ~log:state.log port)
   | Parcel.Dout { a; port } ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = Int32.to_int (Value.to_int32 (operand_value state port)) in
+    let port = operand_int state port in
     M.Ioport.write state.io ~fu ~cycle:state.cycle ~log:state.log port
       (operand_value state a)
 

@@ -5,10 +5,14 @@
     start-of-cycle state; all writes (registers, memory, condition codes)
     are staged and applied by {!commit_cycle}.
 
-    The per-cycle path is allocation-free: condition evaluation builds no
-    closures or mask lists, condition-code updates go through the
-    preallocated buffer in [state.scratch], and pipelined results live in
-    the growable parallel arrays of [state.inflight]. *)
+    The per-cycle path allocates nothing when no hook is attached (no
+    sink or fault session) and no hazard is reported: values are
+    immediate, condition evaluation builds no closures or mask lists,
+    condition-code updates go through the preallocated buffer in
+    [state.scratch], and pipelined results live in the parallel arrays
+    of [state.inflight], which grow (by doubling) only when more results
+    are in flight than ever before on the state.  I/O port writes append
+    to the port's output log. *)
 
 open Ximd_isa
 

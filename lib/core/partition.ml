@@ -27,6 +27,28 @@ let of_signatures signatures =
   done;
   normalise (List.map snd !groups)
 
+let of_labels labels =
+  let n = Array.length labels in
+  if n = 0 then invalid_arg "Partition.of_labels";
+  (* Walking down, FU [fu] opens an SSET iff no lower FU shares its
+     label; consing leaves the SSETs ordered by smallest member. *)
+  let groups = ref [] in
+  for fu = n - 1 downto 0 do
+    let l = labels.(fu) in
+    let first = ref true in
+    for j = 0 to fu - 1 do
+      if labels.(j) = l then first := false
+    done;
+    if !first then begin
+      let members = ref [] in
+      for j = n - 1 downto fu do
+        if labels.(j) = l then members := j :: !members
+      done;
+      groups := !members :: !groups
+    end
+  done;
+  !groups
+
 let of_ssets groups =
   if groups = [] || List.exists (fun g -> g = []) groups then
     invalid_arg "Partition.of_ssets: empty SSET";
@@ -42,17 +64,6 @@ let ssets t = t
 let n_fus t = List.fold_left (fun n g -> n + List.length g) 0 t
 
 let count = List.length
-
-let rec sset_live (halted : bool array) = function
-  | [] -> false
-  | fu :: rest -> (not halted.(fu)) || sset_live halted rest
-
-let rec count_live_aux halted acc = function
-  | [] -> acc
-  | sset :: rest ->
-    count_live_aux halted (if sset_live halted sset then acc + 1 else acc) rest
-
-let count_live t ~halted = count_live_aux halted 0 t
 
 let sset_of t fu =
   match List.find_opt (List.mem fu) t with

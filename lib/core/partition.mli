@@ -14,7 +14,14 @@
     provably identical transitions; distinct signatures mean the relative
     states are data-dependent, which is exactly the paper's fork notion
     (Figure 10's cycle 3 and cycle 9, where FUs sit at a common address
-    but remain in different SSETs, are both reproduced by this rule). *)
+    but remain in different SSETs, are both reproduced by this rule).
+
+    The engine does not build values of {!t}: it keeps one SSET label
+    per FU in [State.labels] (the lowest FU of the SSET), updated in
+    place without allocating (DESIGN.md §5).  A {!t} is materialised
+    from those labels by {!of_labels} only when something observes the
+    partition — {!State.partition}, for the {!Tracer}, the observability
+    sink and diagnostics. *)
 
 type t
 (** A partition of FUs [0..n-1] into SSETs. *)
@@ -27,6 +34,12 @@ val of_signatures : Ximd_isa.Control.t array -> t
 (** Groups FUs by normalised-control-signature equality.  The array must
     already contain normalised signatures (index = FU). *)
 
+val of_labels : int array -> t
+(** Groups FUs by label equality (index = FU): FUs with equal labels
+    share an SSET.  The engine's labels are the lowest member of each
+    SSET, but any labelling works.
+    @raise Invalid_argument on an empty array. *)
+
 val of_ssets : int list list -> t
 (** Builds a partition from explicit SSETs; they must form an exact
     partition of [0..n-1] for some [n].
@@ -38,10 +51,6 @@ val ssets : t -> int list list
 val n_fus : t -> int
 val count : t -> int
 (** Number of SSETs, i.e. concurrently executing instruction streams. *)
-
-val count_live : t -> halted:bool array -> int
-(** Number of SSETs containing at least one FU whose [halted] flag is
-    unset.  Allocation-free — used on the simulators' per-cycle path. *)
 
 val sset_of : t -> int -> int list
 (** The SSET containing the given FU. *)

@@ -5,9 +5,9 @@ type scratch = {
   was_live : bool array;
   taken : bool array;
   old_pcs : int array;
-  sigs : Control.t array;
-  prev_sigs : Control.t array;
-  mutable prev_sigs_valid : bool;
+  key_c : int array;
+  key_t1 : int array;
+  key_t2 : int array;
   str_live : bool array;
   ctrl : Parcel.t array;
   spun : bool array;
@@ -41,7 +41,9 @@ type t = {
   ccs : bool option array;
   sss : Sync.t array;
   halted : bool array;
-  mutable partition : Partition.t;
+  labels : int array;
+  mutable shown : Partition.t;
+  shown_labels : int array;
   scratch : scratch;
   inflight : inflight;
   faults : Ximd_machine.Fault.t option;
@@ -99,15 +101,17 @@ let create ?(config = Config.default) ?faults ?obs program =
     ccs = Array.make n None;
     sss = Array.make n Sync.Busy;
     halted = Array.make n false;
-    partition = Partition.initial ~n;
+    labels = Array.make n 0;
+    shown = Partition.initial ~n;
+    shown_labels = Array.make n 0;
     scratch =
       { parcels = Array.make n Parcel.halted;
         was_live = Array.make n false;
         taken = Array.make n false;
         old_pcs = Array.make n 0;
-        sigs = Array.make n Control.Halt;
-        prev_sigs = Array.make n Control.Halt;
-        prev_sigs_valid = false;
+        key_c = Array.make n 0;
+        key_t1 = Array.make n 0;
+        key_t2 = Array.make n 0;
         str_live = Array.make n false;
         ctrl = Array.make n Parcel.halted;
         spun = Array.make n false;
@@ -149,8 +153,7 @@ let reset ?program t =
   Array.fill t.ccs 0 n None;
   Array.fill t.sss 0 n Sync.Busy;
   Array.fill t.halted 0 n false;
-  t.partition <- Partition.initial ~n;
-  t.scratch.prev_sigs_valid <- false;
+  Array.fill t.labels 0 n 0;
   t.scratch.cc_len <- 0;
   Array.fill t.scratch.spun 0 n false;
   Array.fill t.scratch.ss_edge 0 n false;
@@ -163,12 +166,31 @@ let reset ?program t =
   | Some sink -> Ximd_obs.Sink.reset sink
 
 let n_fus t = t.config.n_fus
-let all_halted t = Array.for_all Fun.id t.halted
+
+(* Plain loops: the stdlib iterators' local closures capture the array
+   and would allocate on every call from the per-cycle path. *)
+let all_halted t =
+  let fu = ref 0 and n = Array.length t.halted in
+  while !fu < n && t.halted.(!fu) do
+    incr fu
+  done;
+  !fu = n
 
 let live_fu_count t =
-  let n = ref 0 in
-  Array.iter (fun h -> if not h then incr n) t.halted;
-  !n
+  let c = ref 0 in
+  for fu = 0 to Array.length t.halted - 1 do
+    if not t.halted.(fu) then incr c
+  done;
+  !c
+
+(* Rebuilt only when the labels moved since the last call: observers
+   call this every cycle, the labels change far less often. *)
+let partition t =
+  if t.labels <> t.shown_labels then begin
+    t.shown <- Partition.of_labels t.labels;
+    Array.blit t.labels 0 t.shown_labels 0 (Array.length t.labels)
+  end;
+  t.shown
 
 let iter_live_fus t f =
   for fu = 0 to n_fus t - 1 do

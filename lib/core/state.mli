@@ -21,10 +21,12 @@ type scratch = {
   was_live : bool array;     (** liveness at start of cycle *)
   taken : bool array;        (** branch-condition outcomes *)
   old_pcs : int array;       (** PCs at start of cycle *)
-  sigs : Control.t array;    (** normalised control signatures *)
-  prev_sigs : Control.t array;
-      (** previous cycle's signatures, for partition reuse *)
-  mutable prev_sigs_valid : bool;
+  key_c : int array;
+      (** per-FU partition key ({!Engine}): the normalised condition of
+          the control operation just executed, int-coded; [-1] for
+          halt… *)
+  key_t1 : int array;        (** …its normalised first target… *)
+  key_t2 : int array;        (** …and second target *)
   str_live : bool array;     (** per-stream liveness ({!Engine}) *)
   ctrl : Parcel.t array;     (** per-stream control parcels ({!Engine}) *)
   spun : bool array;         (** per-stream: branch re-selected its PC *)
@@ -63,7 +65,14 @@ type t = {
   ccs : bool option array;     (** [None] = never set ([X] in traces) *)
   sss : Sync.t array;
   halted : bool array;
-  mutable partition : Partition.t;
+  labels : int array;
+      (** SSET label of each FU: the lowest FU of its SSET.  The engine
+          rewrites it in place every cycle; {!partition} gives the
+          {!Partition.t} view. *)
+  mutable shown : Partition.t;
+  shown_labels : int array;
+      (** {!partition}'s last result and the labels it was built from;
+          the engine never touches them *)
   scratch : scratch;
   inflight : inflight;
   faults : Ximd_machine.Fault.t option;
@@ -107,6 +116,13 @@ val reset : ?program:Program.t -> t -> unit
 
 val n_fus : t -> int
 val all_halted : t -> bool
+(** Whether every FU has halted, without allocating. *)
+
+val partition : t -> Partition.t
+(** The current SSET partition, built from [labels] by
+    {!Partition.of_labels} at most once per label change.  For
+    observers (the {!Tracer}, the observability sink, diagnostics); the
+    engine itself works on the labels only. *)
 
 val live_fus : t -> int list
 (** The indices of FUs that have not halted.  Allocates the result list;

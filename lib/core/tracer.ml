@@ -54,7 +54,7 @@ let snapshot (state : State.t) =
         if state.halted.(i) then None else Some state.pcs.(i));
     ccs = Array.copy state.ccs;
     sss = Array.copy state.sss;
-    partition = state.partition }
+    partition = State.partition state }
 
 let cc_string ccs =
   String.concat ""

@@ -16,11 +16,15 @@ let target_addr ~pc = function
   | Addr a -> a
   | Fallthrough -> pc + 1
 
+let next_pc t ~pc ~taken =
+  match t with
+  | Halt -> invalid_arg "Control.next_pc: halt"
+  | Branch { t1; t2; cond = _ } -> target_addr ~pc (if taken then t1 else t2)
+
 let resolve t ~pc ~taken =
   match t with
   | Halt -> None
-  | Branch { t1; t2; cond = _ } ->
-    Some (target_addr ~pc (if taken then t1 else t2))
+  | Branch _ -> Some (next_pc t ~pc ~taken)
 
 let target_equal a b =
   match a, b with

@@ -41,6 +41,11 @@ val resolve : t -> pc:int -> taken:bool -> int option
 (** [resolve c ~pc ~taken] computes the next PC ([None] for [Halt]).
     [taken] is the evaluated condition. *)
 
+val next_pc : t -> pc:int -> taken:bool -> int
+(** Like {!resolve} for a branch, without the option (per-cycle callers
+    allocate nothing).
+    @raise Invalid_argument on [Halt]. *)
+
 val normalised_signature : t -> pc:int -> t
 (** Canonical form used by SSET/partition computation: a conditional whose
     two targets coincide is an unconditional branch, [Always2] becomes

@@ -5,10 +5,22 @@
     32-bit containers; the operation executed decides the interpretation.
     A value is therefore represented as a raw 32-bit pattern, with integer
     and float views.  Float conversions round through IEEE-754 single
-    precision so that bit-level behaviour matches a real 32-bit datapath. *)
+    precision so that bit-level behaviour matches a real 32-bit datapath.
 
-type t
-(** A 32-bit bit pattern. *)
+    Representation: an immediate [int] holding the sign-extended 32-bit
+    pattern (so a value is in [-2{^31}, 2{^31})).  It is an immediate
+    rather than a boxed [int32] because of how the libraries are
+    compiled: dune's default dev profile passes [-opaque], so nothing is
+    inlined across modules, and every [int32] or [float] that crosses a
+    module boundary is boxed — a minor-heap allocation per ALU result,
+    register write or memory word.  An immediate costs nothing to pass.
+    The same rule applies to callers on the simulator's per-cycle path:
+    they compute on the [int] view (readable for free through the
+    [private] type) and convert floats locally, inside one function,
+    where the compiler keeps them unboxed.  Requires a 64-bit host. *)
+
+type t = private int
+(** A 32-bit bit pattern, sign-extended.  [(v :> int)] is {!to_int}. *)
 
 val zero : t
 val one : t

@@ -49,7 +49,7 @@ let collect (state : Core.State.t) ~outcome =
       waiting;
       ss = state.sss.(fu);
       cc = state.ccs.(fu);
-      sset = Core.Partition.sset_of state.partition fu }
+      sset = Core.Partition.sset_of (Core.State.partition state) fu }
   in
   { outcome;
     cycle = state.cycle;

@@ -190,6 +190,8 @@ let make ?(data = default_data) () =
     invalid_arg "Bitcount.make: the paper's code requires n > 8";
   if n mod 4 <> 0 then
     invalid_arg "Bitcount.make: clean-up-free runs require n mod 4 = 0";
+  if d_base + n >= b_base then
+    invalid_arg "Bitcount.make: D[0..n] must end below B (n < 512)";
   let x_program, xn = build_ximd () in
   let v_program, vn = build_vliw () in
   let config = Ximd_core.Config.make ~n_fus:4 () in

@@ -38,4 +38,6 @@ val make : ?data:int32 array -> unit -> Workload.t
 (** [data.(0)] is ignored; elements are [data.(1 .. length-1)].
     Default: a fixed 12-element mix of sparse, dense, zero and
     all-ones words.
-    @raise Invalid_argument unless [n > 8] and [n ≡ 0 (mod 4)]. *)
+    @raise Invalid_argument unless [n > 8], [n ≡ 0 (mod 4)] and
+    [n < 512] (D[0..n] must end below {!b_base}: from [n = 512] on, the
+    B stores overwrite unread elements of D). *)

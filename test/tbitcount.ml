@@ -111,6 +111,20 @@ let test_zero_heavy_data () =
   | Ok (speedup, _, _) ->
     if speedup <= 1.0 then Alcotest.failf "expected speedup, got %f" speedup
 
+(* D[0..n] lives at 0x200 and B at 0x400: from n = 512 on the two
+   overlap, so the layout's largest array is n = 508. *)
+let test_layout_bound () =
+  let data n = Array.init (n + 1) (fun i -> Int32.of_int (i * 2654435761)) in
+  (match Workload.run_checked (Bitcount.make ~data:(data 508) ()).ximd with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "n = 508: %s" msg);
+  List.iter
+    (fun n ->
+      match Bitcount.make ~data:(data n) () with
+      | _ -> Alcotest.failf "n = %d overlaps B and must be rejected" n
+      | exception Invalid_argument _ -> ())
+    [ 512; 516; 1024 ]
+
 let suite =
   [ ( "bitcount",
       [ Alcotest.test_case "ximd checked" `Quick test_ximd_checked;
@@ -120,5 +134,6 @@ let suite =
           test_figure11_structure;
         Alcotest.test_case "barrier sync signals" `Quick
           test_barrier_sync_signals;
-        Alcotest.test_case "zero/ones extremes" `Quick test_zero_heavy_data ]
+        Alcotest.test_case "zero/ones extremes" `Quick test_zero_heavy_data;
+        Alcotest.test_case "layout bound n < 512" `Quick test_layout_bound ]
     ) ]
