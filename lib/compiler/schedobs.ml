@@ -3,6 +3,9 @@
    loops are not instrumented); when the collector is absent every hook
    site costs one match on [None]. *)
 
+module Json = Ximd_obs.Json
+module Chrome = Ximd_obs.Chrome
+
 type pass_span = {
   ps_name : string;
   ps_t0 : float;
@@ -256,28 +259,13 @@ let kernel_rows (l : loop_report) =
 (* ------------------------------------------------------------------ *)
 (* JSON export (logical facts only — byte-stable)                      *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
 let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
 
 let why_json = function
   | Free -> "{\"kind\":\"free\"}"
   | Dep { pred; kind; latency } ->
     Printf.sprintf "{\"kind\":\"dep\",\"pred\":%d,\"edge\":%s,\"latency\":%d}"
-      pred (jstr (Ddg.kind_name kind)) latency
+      pred (Json.quote (Ddg.kind_name kind)) latency
   | Resource { ready; delayed } ->
     Printf.sprintf "{\"kind\":\"resource\",\"ready\":%d,\"delayed\":%d}" ready
       delayed
@@ -288,24 +276,26 @@ let placement_json p =
 
 let ddg_edge_json (e : Ddg.edge) =
   Printf.sprintf "{\"src\":%d,\"dst\":%d,\"kind\":%s,\"latency\":%d}" e.src
-    e.dst (jstr (Ddg.kind_name e.kind)) e.latency
+    e.dst (Json.quote (Ddg.kind_name e.kind)) e.latency
 
 let loop_edge_json e =
   Printf.sprintf
     "{\"src\":%d,\"dst\":%d,\"kind\":%s,\"latency\":%d,\"distance\":%d}"
-    e.e_src e.e_dst (jstr (Ddg.kind_name e.e_kind)) e.e_latency e.e_distance
+    e.e_src e.e_dst
+    (Json.quote (Ddg.kind_name e.e_kind))
+    e.e_latency e.e_distance
 
 let block_json b =
   Printf.sprintf
     "{\"label\":%s,\"width\":%d,\"rows\":%d,\"ops\":%s,\"ddg\":%s,\"schedule\":%s}"
-    (jstr b.b_label) b.b_width b.b_rows
-    (jlist jstr (Array.to_list b.b_ops))
+    (Json.quote b.b_label) b.b_width b.b_rows
+    (jlist Json.quote (Array.to_list b.b_ops))
     (jlist ddg_edge_json b.b_edges)
     (jlist placement_json b.b_placements)
 
 let res_class_json c =
-  Printf.sprintf "{\"class\":%s,\"ops\":%d,\"cap\":%d,\"mii\":%d}" (jstr c.cls)
-    c.cls_ops c.cap c.cls_mii
+  Printf.sprintf "{\"class\":%s,\"ops\":%d,\"cap\":%d,\"mii\":%d}"
+    (Json.quote c.cls) c.cls_ops c.cap c.cls_mii
 
 let circuit_json = function
   | None -> "null"
@@ -341,8 +331,8 @@ let loop_json l =
   let lower = max l.l_bounds.res_mii l.l_bounds.rec_mii in
   Printf.sprintf
     "{\"label\":%s,\"width\":%d,\"ops\":%s,\"edges\":%s,\"res\":{\"mii\":%d,\"classes\":%s},\"rec\":{\"mii\":%d,\"circuit\":%s},\"attempts\":%s,\"ii\":%d,\"stages\":%d,\"times\":%s,\"kernel\":%s,\"slots\":{\"occupied\":%d,\"empty\":%d,\"total\":%d},\"gap\":{\"lower\":%d,\"gap\":%d,\"binding\":%s}}"
-    (jstr l.l_label) l.l_width
-    (jlist jstr (Array.to_list l.l_ops))
+    (Json.quote l.l_label) l.l_width
+    (jlist Json.quote (Array.to_list l.l_ops))
     (jlist loop_edge_json l.l_edges)
     l.l_bounds.res_mii
     (jlist res_class_json l.l_bounds.res_classes)
@@ -352,27 +342,27 @@ let loop_json l =
     l.l_ii l.l_stages
     (jlist string_of_int (Array.to_list l.l_times))
     kernel occupied (total - occupied) total lower (l.l_ii - lower)
-    (jstr (binding_name l.l_binding))
+    (Json.quote (binding_name l.l_binding))
 
 let pack_placement_json p =
   Printf.sprintf
     "{\"thread\":%s,\"order\":%d,\"width\":%d,\"length\":%d,\"x\":%d,\"y\":%d,\"menu\":%d,\"bound\":%s}"
-    (jstr p.p_thread) p.p_order p.p_width p.p_length p.p_x p.p_y p.p_menu
-    (jstr p.p_bound)
+    (Json.quote p.p_thread) p.p_order p.p_width p.p_length p.p_x p.p_y p.p_menu
+    (Json.quote p.p_bound)
 
 let pack_json k =
   Printf.sprintf
     "{\"objective\":%s,\"n_fus\":%d,\"combos\":%d,\"exhaustive\":%b,\"height\":%d,\"lower_bound\":%d,\"placements\":%s}"
-    (jstr k.k_objective) k.k_n_fus k.k_combos k.k_exhaustive k.k_height
+    (Json.quote k.k_objective) k.k_n_fus k.k_combos k.k_exhaustive k.k_height
     k.k_lower_bound
     (jlist pack_placement_json k.k_placements)
 
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"schema\":\"ximd-sched/1\",";
-  Buffer.add_string buf (Printf.sprintf "\"source\":%s,\n" (jstr t.src));
+  Buffer.add_string buf (Printf.sprintf "\"source\":%s,\n" (Json.quote t.src));
   Buffer.add_string buf
-    ("\"passes\":" ^ jlist jstr (pass_names t) ^ ",\n");
+    ("\"passes\":" ^ jlist Json.quote (pass_names t) ^ ",\n");
   Buffer.add_string buf "\"blocks\":[";
   List.iteri
     (fun i b ->
@@ -401,18 +391,6 @@ let to_json t =
 (* Chrome trace (the timing view)                                      *)
 
 let to_chrome t =
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let event fields =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%s" k v))
-      fields;
-    Buffer.add_char buf '}'
-  in
   let passes = List.rev t.rev_passes in
   let base =
     List.fold_left
@@ -424,25 +402,17 @@ let to_chrome t =
       passes
   in
   let base = if base = infinity then 0.0 else base in
-  let us x = string_of_int (int_of_float ((x -. base) *. 1e6)) in
-  let dur a b = string_of_int (max 0 (int_of_float ((b -. a) *. 1e6))) in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("name", jstr "process_name");
-      ("args", "{\"name\":" ^ jstr ("xcc " ^ t.src) ^ "}") ];
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("tid", "0");
-      ("name", jstr "thread_name"); ("args", "{\"name\":\"passes\"}") ];
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("tid", "1");
-      ("name", jstr "thread_name");
-      ("args", "{\"name\":\"loop scheduling attempts\"}") ];
+  let us x = int_of_float ((x -. base) *. 1e6) in
+  let dur a b = max 0 (int_of_float ((b -. a) *. 1e6)) in
+  let buf = Buffer.create 4096 in
+  let e = Chrome.create buf ~process:("xcc " ^ t.src) in
+  Chrome.meta e ~tid:0 ~name:"passes";
+  Chrome.meta e ~tid:1 ~name:"loop scheduling attempts";
   List.iter
     (fun p ->
-      event
-        [ ("ph", jstr "X"); ("pid", "0"); ("tid", "0"); ("ts", us p.ps_t0);
-          ("dur", dur p.ps_t0 p.ps_t1); ("name", jstr p.ps_name);
-          ("args", Printf.sprintf "{\"minor_words\":%d}" p.ps_minor) ])
+      Chrome.slice e ~tid:0 ~ts:(us p.ps_t0) ~dur:(dur p.ps_t0 p.ps_t1)
+        ~args:(Printf.sprintf "{\"minor_words\":%d}" p.ps_minor)
+        p.ps_name)
     passes;
   List.iter
     (fun (l : loop_report) ->
@@ -455,15 +425,12 @@ let to_chrome t =
             | Violated e ->
               Printf.sprintf "violated %d->%d" e.e_src e.e_dst
           in
-          event
-            [ ("ph", jstr "X"); ("pid", "0"); ("tid", "1");
-              ("ts", us a.a_t0); ("dur", dur a.a_t0 a.a_t1);
-              ("name",
-               jstr (Printf.sprintf "%s II=%d %s" l.l_label a.a_ii outcome))
-            ])
+          Chrome.slice e ~tid:1 ~ts:(us a.a_t0)
+            ~dur:(dur a.a_t0 a.a_t1)
+            (Printf.sprintf "%s II=%d %s" l.l_label a.a_ii outcome))
         l.l_attempts)
     (loops t);
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Chrome.finish e;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -6,8 +6,8 @@
     reallocated), then the caller's [setup], then {!Engine.run}.  For
     short programs the state construction dominates a one-shot run, so
     sweeps, benchmarks and repeated CLI runs ([--repeat]) go
-    substantially faster on a session; see [minmax/xsim-session] in
-    BENCH_simulator.json.
+    substantially faster on a session; the benchmark's sim-long
+    workload reports [state.create_us] beside [state.reset_us].
 
     The configuration (and with it every arena size) is fixed when the
     session is created; the program may change between runs via

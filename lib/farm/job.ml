@@ -1,4 +1,5 @@
 module Core = Ximd_core
+module Json = Ximd_obs.Json
 
 type payload =
   | Source of string

@@ -1,80 +1,108 @@
-let sset_track_base = 1000
+(* ------------------------------------------------------------------ *)
+(* The trace_event writer.  Every event starts with its phase and then
+   writes its fields in a fixed order, so the bytes the goldens pin
+   depend only on the events; strings go through Json. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+type emitter = { buf : Buffer.t; mutable first : bool }
+
+let open_event e ph =
+  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
+  Buffer.add_string e.buf "{\"ph\":\"";
+  Buffer.add_string e.buf ph;
+  Buffer.add_char e.buf '"'
+
+let key e k =
+  Buffer.add_string e.buf ",\"";
+  Buffer.add_string e.buf k;
+  Buffer.add_string e.buf "\":"
+
+let int_field e k v =
+  key e k;
+  Buffer.add_string e.buf (string_of_int v)
+
+let str_field e k v =
+  key e k;
+  Buffer.add_char e.buf '"';
+  Json.escape_into e.buf v;
+  Buffer.add_char e.buf '"'
+
+let raw_field e k v =
+  key e k;
+  Buffer.add_string e.buf v
+
+let close_event e = Buffer.add_char e.buf '}'
+
+let metadata e ?tid kind name =
+  open_event e "M";
+  int_field e "pid" 0;
+  Option.iter (int_field e "tid") tid;
+  str_field e "name" kind;
+  raw_field e "args" ("{\"name\":" ^ Json.quote name ^ "}");
+  close_event e
+
+let create buf ~process =
+  Buffer.add_string buf "{\"traceEvents\":[\n";
+  let e = { buf; first = true } in
+  metadata e "process_name" process;
+  e
+
+let meta e ~tid ~name = metadata e ~tid "thread_name" name
+
+let slice e ~tid ~ts ~dur ?cname ?args name =
+  open_event e "X";
+  int_field e "pid" 0;
+  int_field e "tid" tid;
+  int_field e "ts" ts;
+  int_field e "dur" dur;
+  Option.iter (str_field e "cname") cname;
+  str_field e "name" name;
+  Option.iter (raw_field e "args") args;
+  close_event e
+
+let instant e ~tid ~ts name =
+  open_event e "i";
+  int_field e "pid" 0;
+  int_field e "tid" tid;
+  int_field e "ts" ts;
+  str_field e "s" "t";
+  str_field e "name" name;
+  close_event e
+
+let counter e ~ts ~name ~series value =
+  open_event e "C";
+  int_field e "pid" 0;
+  int_field e "ts" ts;
+  str_field e "name" name;
+  raw_field e "args" (Printf.sprintf "{%s:%d}" (Json.quote series) value);
+  close_event e
+
+let async e phase ~cat ~id ~tid ~ts name =
+  open_event e (match phase with `Begin -> "b" | `End -> "e");
+  str_field e "cat" cat;
+  int_field e "id" id;
+  int_field e "pid" 0;
+  int_field e "tid" tid;
+  int_field e "ts" ts;
+  str_field e "name" name;
+  close_event e
+
+let finish ?other_data e =
+  Buffer.add_string e.buf "\n],\"displayTimeUnit\":\"ms\"";
+  Option.iter (raw_field e "otherData") other_data;
+  Buffer.add_string e.buf "}\n"
+
+(* ------------------------------------------------------------------ *)
+(* The simulated run's trace, from a sink. *)
+
+let sset_track_base = 1000
 
 let members_string members =
   "{" ^ String.concat "," (List.map string_of_int members) ^ "}"
 
-type emitter = { buf : Buffer.t; mutable first : bool }
-
-let event e fields =
-  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
-  Buffer.add_char e.buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char e.buf ',';
-      Buffer.add_string e.buf (Printf.sprintf "\"%s\":%s" k v))
-    fields;
-  Buffer.add_char e.buf '}'
-
-let str s = "\"" ^ json_escape s ^ "\""
-
-let meta e ~tid ~name =
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("name", str "thread_name");
-      ("args", "{\"name\":" ^ str name ^ "}") ]
-
-let slice e ~tid ~ts ~dur ~name =
-  event e
-    [ ("ph", str "X");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("ts", string_of_int ts);
-      ("dur", string_of_int dur);
-      ("name", str name) ]
-
-let instant e ~tid ~ts ~name =
-  event e
-    [ ("ph", str "i");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("ts", string_of_int ts);
-      ("s", str "t");
-      ("name", str name) ]
-
-let counter e ~ts ~name ~value =
-  event e
-    [ ("ph", str "C");
-      ("pid", "0");
-      ("ts", string_of_int ts);
-      ("name", str name);
-      ("args", Printf.sprintf "{\"streams\":%d}" value) ]
-
 let to_buffer ?(fu_name = Printf.sprintf "FU%d")
     ?(pc_label = fun _ -> None) buf sink =
   let n = Sink.n_fus sink in
-  let e = { buf; first = true } in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("name", str "process_name");
-      ("args", "{\"name\":\"ximd\"}") ];
+  let e = create buf ~process:"ximd" in
   for fu = 0 to n - 1 do
     meta e ~tid:fu ~name:(fu_name fu)
   done;
@@ -105,7 +133,7 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
   let flush fu =
     if run_pc.(fu) >= 0 then begin
       slice e ~tid:fu ~ts:run_start.(fu) ~dur:run_len.(fu)
-        ~name:(slice_name run_pc.(fu));
+        (slice_name run_pc.(fu));
       run_pc.(fu) <- -1
     end
   in
@@ -123,28 +151,28 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
         end
       | Event.Cc_broadcast { cycle; fu; value } ->
         instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "cc%d=%c" fu (if value then 'T' else 'F'))
+          (Printf.sprintf "cc%d=%c" fu (if value then 'T' else 'F'))
       | Event.Ss_transition { cycle; fu; to_done } ->
         instant e ~tid:fu ~ts:cycle
-          ~name:
-            (Printf.sprintf "ss%d->%s" fu (if to_done then "DONE" else "BUSY"))
+          (Printf.sprintf "ss%d->%s" fu (if to_done then "DONE" else "BUSY"))
       | Event.Barrier_enter { cycle; fu; pc } ->
         instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "barrier enter @%02x" pc)
+          (Printf.sprintf "barrier enter @%02x" pc)
       | Event.Barrier_exit { cycle; fu; pc; waited } ->
         instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "barrier exit @%02x (waited %d)" pc waited)
+          (Printf.sprintf "barrier exit @%02x (waited %d)" pc waited)
       | Event.Halt { cycle; fu } ->
         flush fu;
-        instant e ~tid:fu ~ts:cycle ~name:"halt"
+        instant e ~tid:fu ~ts:cycle "halt"
       | Event.Partition_change { cycle; ssets } ->
-        counter e ~ts:cycle ~name:"live_streams" ~value:(List.length ssets)
+        counter e ~ts:cycle ~name:"live_streams" ~series:"streams"
+          (List.length ssets)
       | Event.Fault_fired { cycle; kind; target } ->
         instant e ~tid:0 ~ts:cycle
-          ~name:(Printf.sprintf "fault %s:%d" kind target)
+          (Printf.sprintf "fault %s:%d" kind target)
       | Event.Watchdog_window { cycle; quiet } ->
         instant e ~tid:0 ~ts:cycle
-          ~name:(Printf.sprintf "watchdog window (%d quiet cycles)" quiet)
+          (Printf.sprintf "watchdog window (%d quiet cycles)" quiet)
       | Event.Commit _ -> ())
     (Sink.events sink);
   for fu = 0 to n - 1 do
@@ -160,13 +188,12 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
           ~tid:(sset_track_base + leader)
           ~ts:i.start_cycle
           ~dur:(Timeline.duration i)
-          ~name:(members_string i.members))
+          (members_string i.members))
     timeline;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"otherData\":{\"dropped_events\":%d,\"final_cycle\":%d}}"
-       (Sink.dropped_events sink) (Sink.final_cycle sink));
-  Buffer.add_char buf '\n'
+  finish e
+    ~other_data:
+      (Printf.sprintf "{\"dropped_events\":%d,\"final_cycle\":%d}"
+         (Sink.dropped_events sink) (Sink.final_cycle sink))
 
 let to_string ?fu_name ?pc_label sink =
   let buf = Buffer.create 8192 in

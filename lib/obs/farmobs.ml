@@ -182,6 +182,19 @@ let merge_metrics t registry =
     t.metrics_jobs <- t.metrics_jobs + 1;
     Metrics.merge ~into:t.merged_metrics registry)
 
+let add_outcomes buf t =
+  let outcomes =
+    List.sort compare
+      (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes [])
+  in
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (label, n) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (Printf.sprintf "%s:%d" (Json.quote label) n))
+    outcomes;
+  Buffer.add_char buf '}'
+
 (* Heartbeat: the outcome counts are over the records emitted so far,
    which the pool guarantees are exactly the first [completed] stream
    positions — deterministic; only elapsed_ms/jobs_per_sec carry wall
@@ -192,19 +205,11 @@ let progress_line t ~now =
     (Printf.sprintf
        "{\"schema\":\"ximd-progress/1\",\"completed\":%d,\"submitted\":%d,"
        t.completed t.submitted);
-  Buffer.add_string buf "\"outcomes\":{";
-  let labels =
-    List.sort compare
-      (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes [])
-  in
-  List.iteri
-    (fun i (label, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" label n))
-    labels;
+  Buffer.add_string buf "\"outcomes\":";
+  add_outcomes buf t;
   let elapsed = now -. t.t0 in
   Buffer.add_string buf
-    (Printf.sprintf "},\"elapsed_ms\":%d,\"jobs_per_sec\":%.1f}"
+    (Printf.sprintf ",\"elapsed_ms\":%d,\"jobs_per_sec\":%.1f}"
        (int_of_float (elapsed *. 1000.))
        (if elapsed > 0. then float_of_int t.completed /. elapsed else 0.));
   Buffer.contents buf
@@ -300,29 +305,6 @@ let total_cycles t = locked t (fun () -> t.total_cycles)
    logical line never sees a wall time, a domain identity or a cache
    artefact. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_outcomes buf outcomes =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (label, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" label n))
-    outcomes;
-  Buffer.add_char buf '}'
-
 (* Callers must hold the lock. *)
 let logical_to_buffer t buf =
   let spans =
@@ -333,9 +315,7 @@ let logical_to_buffer t buf =
   Buffer.add_string buf
     (Printf.sprintf "{\"view\":\"logical\",\"jobs\":%d," t.completed);
   Buffer.add_string buf "\"outcomes\":";
-  add_outcomes buf
-    (List.sort compare
-       (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes []));
+  add_outcomes buf t;
   Buffer.add_string buf
     (Printf.sprintf ",\"total_cycles\":%d," t.total_cycles);
   Buffer.add_string buf "\"retry_histogram\":{";
@@ -365,10 +345,11 @@ let logical_to_buffer t buf =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"seq\":%d,\"id\":\"%s\",\"outcome\":\"%s\",\"attempts\":%d,\
+           "{\"seq\":%d,\"id\":%s,\"outcome\":%s,\"attempts\":%d,\
             \"cycles\":%d,\"n_fus\":%d}"
-           s.seq (json_escape s.id) s.result.Span.label s.attempts s.cycles
-           s.n_fus))
+           s.seq (Json.quote s.id)
+           (Json.quote s.result.Span.label)
+           s.attempts s.cycles s.n_fus))
     spans;
   Buffer.add_string buf "]}"
 
@@ -430,20 +411,6 @@ let rollup_json t =
    failure instants, a queue-depth counter track, and one async lane
    per job spanning enqueue -> emit (queue wait included). *)
 
-type emitter = { buf : Buffer.t; mutable first : bool }
-
-let event e fields =
-  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
-  Buffer.add_char e.buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char e.buf ',';
-      Buffer.add_string e.buf (Printf.sprintf "\"%s\":%s" k v))
-    fields;
-  Buffer.add_char e.buf '}'
-
-let str s = "\"" ^ json_escape s ^ "\""
-
 let chrome_to_buffer t buf =
   let spans =
     locked t (fun () ->
@@ -451,18 +418,9 @@ let chrome_to_buffer t buf =
         (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
         t.spans_rev)
   and samples = locked t (fun () -> List.rev t.queue_samples_rev) in
-  let us f = string_of_int (int_of_float ((f -. t.t0) *. 1e6)) in
-  let dur a b =
-    let d = int_of_float ((b -. a) *. 1e6) in
-    string_of_int (max 0 d)
-  in
-  let e = { buf; first = true } in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("name", str "process_name");
-      ("args", "{\"name\":\"ximd campaign\"}") ];
+  let us f = int_of_float ((f -. t.t0) *. 1e6) in
+  let dur a b = max 0 (int_of_float ((b -. a) *. 1e6)) in
+  let e = Chrome.create buf ~process:"ximd campaign" in
   let domains =
     List.sort_uniq Int.compare
       (List.filter_map
@@ -471,102 +429,57 @@ let chrome_to_buffer t buf =
   in
   List.iter
     (fun domain ->
-      event e
-        [ ("ph", str "M");
-          ("pid", "0");
-          ("tid", string_of_int domain);
-          ("name", str "thread_name");
-          ("args", "{\"name\":" ^ str (Printf.sprintf "domain %d" domain) ^ "}") ])
+      Chrome.meta e ~tid:domain ~name:(Printf.sprintf "domain %d" domain))
     domains;
-  List.iter (fun (at, depth) ->
-      event e
-        [ ("ph", str "C");
-          ("pid", "0");
-          ("ts", us at);
-          ("name", str "queue_depth");
-          ("args", Printf.sprintf "{\"depth\":%d}" depth) ])
+  List.iter
+    (fun (at, depth) ->
+      Chrome.counter e ~ts:(us at) ~name:"queue_depth" ~series:"depth" depth)
     samples;
   List.iter
     (fun (s : Span.t) ->
       let label = s.result.Span.label in
       (* full-lifetime async lane: enqueue -> emit, reorder wait and
          queue wait visible as the flanks around the domain slice *)
-      event e
-        [ ("ph", str "b");
-          ("cat", str "job");
-          ("id", string_of_int s.seq);
-          ("pid", "0");
-          ("tid", string_of_int (max 0 s.domain));
-          ("ts", us s.enqueue_t);
-          ("name", str s.id) ];
-      event e
-        [ ("ph", str "e");
-          ("cat", str "job");
-          ("id", string_of_int s.seq);
-          ("pid", "0");
-          ("tid", string_of_int (max 0 s.domain));
-          ("ts", us s.emit_t);
-          ("name", str s.id) ];
+      let lane phase at =
+        Chrome.async e phase ~cat:"job" ~id:s.seq ~tid:(max 0 s.domain)
+          ~ts:(us at) s.id
+      in
+      lane `Begin s.enqueue_t;
+      lane `End s.emit_t;
       if s.domain >= 0 then begin
-        let tid = string_of_int s.domain in
-        event e
-          [ ("ph", str "X");
-            ("pid", "0");
-            ("tid", tid);
-            ("ts", us s.dequeue_t);
-            ("dur", dur s.dequeue_t s.run_end_t);
-            ("cname", str (Span.cname s.result.Span.quality));
-            ("name", str (Printf.sprintf "%s [%s]" s.id label));
-            ( "args",
-              Printf.sprintf
-                "{\"outcome\":%s,\"attempts\":%d,\"cycles\":%d,\
-                 \"queue_wait_us\":%d,\"reorder_wait_us\":%d}"
-                (str label) s.attempts s.cycles
-                (int_of_float (Span.queue_wait s *. 1e6))
-                (int_of_float (Span.reorder_wait s *. 1e6)) ) ];
+        let tid = s.domain in
+        Chrome.slice e ~tid ~ts:(us s.dequeue_t)
+          ~dur:(dur s.dequeue_t s.run_end_t)
+          ~cname:(Span.cname s.result.Span.quality)
+          ~args:
+            (Printf.sprintf
+               "{\"outcome\":%s,\"attempts\":%d,\"cycles\":%d,\
+                \"queue_wait_us\":%d,\"reorder_wait_us\":%d}"
+               (Json.quote label) s.attempts s.cycles
+               (int_of_float (Span.queue_wait s *. 1e6))
+               (int_of_float (Span.reorder_wait s *. 1e6)))
+          (Printf.sprintf "%s [%s]" s.id label);
         (match s.cache_hit with
          | None -> ()
          | Some hit ->
-           event e
-             [ ("ph", str "X");
-               ("pid", "0");
-               ("tid", tid);
-               ("ts", us s.dequeue_t);
-               ("dur", dur s.dequeue_t s.session_t);
-               ("name", str (if hit then "cache-hit" else "session-build")) ];
-           event e
-             [ ("ph", str "X");
-               ("pid", "0");
-               ("tid", tid);
-               ("ts", us s.session_t);
-               ("dur", dur s.session_t s.run_end_t);
-               ("name", str "run") ]);
+           Chrome.slice e ~tid ~ts:(us s.dequeue_t)
+             ~dur:(dur s.dequeue_t s.session_t)
+             (if hit then "cache-hit" else "session-build");
+           Chrome.slice e ~tid ~ts:(us s.session_t)
+             ~dur:(dur s.session_t s.run_end_t) "run");
         List.iter
           (fun (m : Span.marker) ->
-            event e
-              [ ("ph", str "i");
-                ("pid", "0");
-                ("tid", tid);
-                ("ts", us m.Span.at);
-                ("s", str "t");
-                ("name", str m.Span.note) ])
+            Chrome.instant e ~tid ~ts:(us m.Span.at) m.Span.note)
           s.markers;
         if s.result.Span.quality <> Span.Good then
-          event e
-            [ ("ph", str "i");
-              ("pid", "0");
-              ("tid", tid);
-              ("ts", us s.run_end_t);
-              ("s", str "t");
-              ("name", str label) ]
+          Chrome.instant e ~tid ~ts:(us s.run_end_t) label
       end)
     spans;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"otherData\":{\"jobs\":%d,\"queue_depth_high_water\":%d}}"
-       (List.length spans)
-       (locked t (fun () -> t.queue_hwm)));
-  Buffer.add_char buf '\n'
+  Chrome.finish e
+    ~other_data:
+      (Printf.sprintf "{\"jobs\":%d,\"queue_depth_high_water\":%d}"
+         (List.length spans)
+         (locked t (fun () -> t.queue_hwm)))
 
 let chrome_json t =
   let buf = Buffer.create 8192 in

@@ -1,5 +1,12 @@
-(** Minimal dependency-free JSON: enough to parse line-delimited job
-    specs and print byte-stable result records.
+(** Minimal dependency-free JSON: the one codec every [ximd-*] report,
+    Chrome trace and farm record goes through.
+
+    It parses line-delimited job specs and prints byte-stable result
+    records; the hand-rolled emitters elsewhere in the tree (metrics,
+    diagnostics, campaign and scheduler reports, Chrome traces) write
+    their numbers with [Printf] but quote every string that is not a
+    fixed key with {!quote} or {!escape_into}, so all of them escape
+    identically and parse back through {!parse}.
 
     Objects preserve field order (parse order in, given order out), so
     printing is deterministic — the property the farm's golden result
@@ -21,7 +28,17 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact (no whitespace) rendering; object fields in list order;
-    strings escaped per RFC 8259 with [\uXXXX] for control characters. *)
+    strings escaped by {!escape_into}. *)
+
+val escape_into : Buffer.t -> string -> unit
+(** Appends [s] escaped for use inside a JSON string literal, without
+    the surrounding quotes.  The double quote, the backslash, newline,
+    carriage return and tab get their two-character escapes, the other
+    control characters [\u00XX]; every other byte, UTF-8 included, is
+    copied as is. *)
+
+val quote : string -> string
+(** [s] as a JSON string literal, quotes included. *)
 
 (** {1 Accessors} *)
 

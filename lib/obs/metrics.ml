@@ -178,22 +178,8 @@ let reset t =
     t.histograms_rev
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.  JSON is hand-rolled (no dependencies) and emitted in
-   name order so the bytes are a pure function of the recorded data. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Rendering.  JSON is emitted in name order so the bytes are a pure
+   function of the recorded data. *)
 
 let add_histogram_json buf h =
   Buffer.add_string buf
@@ -221,7 +207,7 @@ let to_json t =
     (fun c ->
       sep first;
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (json_escape c.c_name) c.c_value))
+        (Printf.sprintf "%s:%d" (Json.quote c.c_name) c.c_value))
     (counters t);
   Buffer.add_string buf "},\"gauges\":{";
   let first = ref true in
@@ -229,15 +215,16 @@ let to_json t =
     (fun g ->
       sep first;
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"value\":%d,\"max\":%d}"
-           (json_escape g.g_name) g.g_value g.g_max))
+        (Printf.sprintf "%s:{\"value\":%d,\"max\":%d}"
+           (Json.quote g.g_name) g.g_value g.g_max))
     (gauges t);
   Buffer.add_string buf "},\"histograms\":{";
   let first = ref true in
   List.iter
     (fun h ->
       sep first;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape h.h_name));
+      Buffer.add_string buf (Json.quote h.h_name);
+      Buffer.add_char buf ':';
       add_histogram_json buf h)
     (histograms t);
   Buffer.add_string buf "}}";

@@ -1,6 +1,7 @@
 open Ximd_isa
 module Core = Ximd_core
 module M = Ximd_machine
+module Json = Ximd_obs.Json
 
 type fu_report = {
   fu : int;
@@ -104,49 +105,35 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled, no dependencies)                       *)
+(* JSON rendering                                                      *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
 let jlist items = "[" ^ String.concat "," items ^ "]"
 let jobj fields =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
+  ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields)
   ^ "}"
 
 let json_of_waiting (w : Core.Run.waiting) =
   jobj
     [ ("fu", string_of_int w.fu);
       ("pc", string_of_int w.pc);
-      ("cond", jstr (Cond.to_string w.cond)) ]
+      ("cond", Json.quote (Cond.to_string w.cond)) ]
 
 let json_of_outcome = function
   | Core.Run.Halted { cycles } ->
-    jobj [ ("kind", jstr "halted"); ("cycles", string_of_int cycles) ]
+    jobj [ ("kind", Json.quote "halted"); ("cycles", string_of_int cycles) ]
   | Core.Run.Fuel_exhausted { cycles } ->
-    jobj [ ("kind", jstr "fuel_exhausted"); ("cycles", string_of_int cycles) ]
+    jobj
+      [ ("kind", Json.quote "fuel_exhausted");
+        ("cycles", string_of_int cycles) ]
   | Core.Run.Deadlocked { cycles; spinning } ->
     jobj
-      [ ("kind", jstr "deadlocked");
+      [ ("kind", Json.quote "deadlocked");
         ("cycles", string_of_int cycles);
         ("spinning", jlist (List.map json_of_waiting spinning)) ]
   | Core.Run.Budget_exceeded { cycles; budget } ->
     jobj
-      [ ("kind", jstr "budget_exceeded");
+      [ ("kind", Json.quote "budget_exceeded");
         ("cycles", string_of_int cycles);
         ("budget", string_of_int budget) ]
 
@@ -155,24 +142,24 @@ let json_of_fu r =
     [ ("fu", string_of_int r.fu);
       ("halted", string_of_bool r.halted);
       ("pc", string_of_int r.pc);
-      ("parcel", (match r.parcel with Some p -> jstr p | None -> "null"));
+      ("parcel", (match r.parcel with Some p -> Json.quote p | None -> "null"));
       ( "waiting",
         match r.waiting with
-        | Some c -> jstr (Cond.to_string c)
+        | Some c -> Json.quote (Cond.to_string c)
         | None -> "null" );
-      ("ss", jstr (Sync.to_string r.ss));
+      ("ss", Json.quote (Sync.to_string r.ss));
       ("cc", (match r.cc with None -> "null" | Some b -> string_of_bool b));
       ("sset", jlist (List.map string_of_int r.sset)) ]
 
 let json_of_hazard (e : M.Hazard.event) =
   jobj
     [ ("cycle", string_of_int e.cycle);
-      ("hazard", jstr (M.Hazard.to_string e.hazard)) ]
+      ("hazard", Json.quote (M.Hazard.to_string e.hazard)) ]
 
 let json_of_fault (e : M.Fault.event) =
   jobj
     [ ("at", string_of_int e.at);
-      ("kind", jstr (M.Fault.kind_name e.kind));
+      ("kind", Json.quote (M.Fault.kind_name e.kind));
       ("target", string_of_int e.target) ]
 
 let to_json t =

@@ -8,7 +8,7 @@
     fired fault-injection events.
 
     The report renders two ways: {!pp} for humans and {!to_json} for
-    scripts and CI — a hand-rolled, dependency-free JSON encoder. *)
+    scripts and CI, its strings quoted by {!Ximd_obs.Json}. *)
 
 type fu_report = {
   fu : int;

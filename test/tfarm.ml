@@ -183,7 +183,7 @@ let test_spec_validation () =
   let records, _ =
     run_lines ~domains:1 [ {|{"workload":"minmax","id":"rt"}|} ]
   in
-  match F.Json.parse (F.Record.to_json_string (List.hd records)) with
+  match Ximd_obs.Json.parse (F.Record.to_json_string (List.hd records)) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "record line is not valid JSON: %s" e
 

@@ -232,7 +232,7 @@ let test_chrome_export () =
   Obs.Farmobs.on_complete o ~seq:1 ~id:"bad-job" ~result:bad ~attempts:1 ();
   Obs.Farmobs.on_emit o ~seq:1;
   let trace = Obs.Farmobs.chrome_json o in
-  (match F.Json.parse trace with
+  (match Ximd_obs.Json.parse trace with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "chrome trace is not valid JSON: %s" e);
   let contains needle =

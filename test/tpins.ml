@@ -36,9 +36,9 @@ let test_figure10_sink () =
   pin ~golden:"minmax.fig10.metrics.json" (Obs.Sink.metrics_json sink ^ "\n")
 
 (* A four-job campaign driven hook by hook on one thread: a clean job,
-   a retried job whose id needs quoting, a dropped job that never
-   completes, and a cache hit on a second domain. *)
-let farmobs_campaign () =
+   a retried job named [odd_id], a dropped job that never completes,
+   and a cache hit on a second domain. *)
+let farmobs_campaign ~odd_id =
   let progress = ref [] in
   let obs =
     Obs.Farmobs.create ~progress_every:2
@@ -59,7 +59,7 @@ let farmobs_campaign () =
   Obs.Farmobs.on_dequeue obs ~seq:1 ~domain:1 ~depth:2;
   Obs.Farmobs.on_session_ready obs ~seq:1 ~cache_hit:false;
   Obs.Farmobs.on_retry obs ~seq:1 ~attempt:1;
-  Obs.Farmobs.on_complete obs ~seq:1 ~id:{|say "hi" \ bye|} ~result:suspect
+  Obs.Farmobs.on_complete obs ~seq:1 ~id:odd_id ~result:suspect
     ~attempts:2 ~cycles:100 ~n_fus:2 ();
   Obs.Farmobs.on_dequeue obs ~seq:3 ~domain:1 ~depth:1;
   Obs.Farmobs.on_session_ready obs ~seq:3 ~cache_hit:true;
@@ -79,7 +79,7 @@ let farmobs_campaign () =
   (obs, List.rev !progress)
 
 let test_farmobs () =
-  let obs, progress = farmobs_campaign () in
+  let obs, progress = farmobs_campaign ~odd_id:{|say "hi" \ bye|} in
   pin ~golden:"campaign.rollup.json" (Obs.Farmobs.rollup_json obs);
   pin ~golden:"campaign.trace.json" (Obs.Farmobs.chrome_json obs);
   pin ~golden:"campaign.progress.jsonl"

@@ -3,7 +3,7 @@
 
 open Ximd_isa
 module C = Ximd_compiler
-module Json = Ximd_farm.Json
+module Json = Ximd_obs.Json
 module Gen = QCheck2.Gen
 
 let to_alcotest = QCheck_alcotest.to_alcotest
