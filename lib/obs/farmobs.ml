@@ -412,11 +412,7 @@ let rollup_json t =
    per job spanning enqueue -> emit (queue wait included). *)
 
 let chrome_to_buffer t buf =
-  let spans =
-    locked t (fun () ->
-      List.sort
-        (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
-        t.spans_rev)
+  let spans = spans t
   and samples = locked t (fun () -> List.rev t.queue_samples_rev) in
   let us f = int_of_float ((f -. t.t0) *. 1e6) in
   let dur a b = max 0 (int_of_float ((b -. a) *. 1e6)) in
@@ -479,7 +475,7 @@ let chrome_to_buffer t buf =
     ~other_data:
       (Printf.sprintf "{\"jobs\":%d,\"queue_depth_high_water\":%d}"
          (List.length spans)
-         (locked t (fun () -> t.queue_hwm)))
+         (queue_depth_high_water t))
 
 let chrome_json t =
   let buf = Buffer.create 8192 in
