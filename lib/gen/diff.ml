@@ -56,14 +56,13 @@ let observe_engine model program (config : Core.Config.t) =
   let state = Core.State.create ~config program in
   let tracer = Core.Tracer.create () in
   let outcome = Core.Engine.run (engine_model model) ~tracer state in
-  let memory = ref [] in
-  for addr = config.mem_words - 1 downto 0 do
-    let v = Core.State.mem_get state addr in
-    if not (Value.equal v Value.zero) then memory := (addr, v) :: !memory
-  done;
   { Observation.outcome;
     registers = Ximd_machine.Regfile.dump state.regs;
-    memory = !memory;
+    memory =
+      List.rev
+        (Ximd_machine.Memory.fold_nonzero
+           (fun addr v acc -> (addr, v) :: acc)
+           state.mem []);
     io_out =
       List.filter_map
         (fun port ->
@@ -73,8 +72,7 @@ let observe_engine model program (config : Core.Config.t) =
         (List.init config.n_ports (fun p -> p));
     hazards =
       List.map
-        (fun (e : Ximd_machine.Hazard.event) ->
-          (e.cycle, Ximd_machine.Hazard.to_string e.hazard))
+        (fun (e : Ximd_machine.Hazard.event) -> (e.cycle, e.hazard))
         (Ximd_machine.Hazard.events state.log);
     trace =
       List.map
@@ -225,6 +223,25 @@ let pp_side fmt (label, (o : Observation.t)) =
         o.trace)
     ()
 
+(* The positions where the two hazard logs disagree, each side's entry
+   rendered ([None] past the end of the shorter log).  Hazards are
+   typed in observations; this is one of the two places they become
+   text (the other is [Observation.summary]). *)
+let hazard_delta (a : Observation.t) (b : Observation.t) =
+  let render (cycle, h) =
+    Printf.sprintf "@%d %s" cycle (Ximd_machine.Hazard.to_string h)
+  in
+  let rec go i acc = function
+    | [], [] -> List.rev acc
+    | x :: xs, y :: ys ->
+      go (i + 1)
+        (if x = y then acc else (i, Some (render x), Some (render y)) :: acc)
+        (xs, ys)
+    | x :: xs, [] -> go (i + 1) ((i, Some (render x), None) :: acc) (xs, [])
+    | [], y :: ys -> go (i + 1) ((i, None, Some (render y)) :: acc) ([], ys)
+  in
+  go 0 [] (a.hazards, b.hazards)
+
 let pp_divergence fmt (d : divergence) =
   Format.fprintf fmt "@[<v>model: %s@," (model_name d.model);
   (match d.first_cycle with
@@ -249,6 +266,16 @@ let pp_divergence fmt (d : divergence) =
        (fun (addr, va, vb) ->
          Format.fprintf fmt "[%d]: %ld vs %ld@," addr (Value.to_int32 va)
            (Value.to_int32 vb))
+       delta;
+     Format.fprintf fmt "@]@,");
+  (match hazard_delta d.reference d.engine with
+   | [] -> ()
+   | delta ->
+     let side = Option.value ~default:"(none)" in
+     Format.fprintf fmt "@[<v2>hazard delta (reference vs engine):@,";
+     List.iter
+       (fun (i, ha, hb) ->
+         Format.fprintf fmt "#%d: %s vs %s@," i (side ha) (side hb))
        delta;
      Format.fprintf fmt "@]@,");
   Format.fprintf fmt "%a@,%a@]" pp_side ("reference trace", d.reference)

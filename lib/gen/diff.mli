@@ -36,6 +36,15 @@ type verdict =
   | Agree of { models : model list }  (** every applicable model agrees *)
   | Diverge of divergence  (** first divergence found *)
 
+val compare_observations :
+  model ->
+  Ximd_ref.Observation.t ->
+  Ximd_ref.Observation.t ->
+  divergence option
+(** [compare_observations model reference engine] is the first
+    mismatch, checked in order: trace, outcome, registers, memory, I/O
+    log, hazard log.  Hazards compare structurally. *)
+
 val check_model :
   model -> Ximd_core.Program.t -> Ximd_core.Config.t -> divergence option
 (** Lockstep comparison under one model. *)
@@ -65,6 +74,7 @@ val memory_delta :
 
 val pp_divergence : Format.formatter -> divergence -> unit
 (** The structured divergence report: model, first divergent cycle,
-    register/memory delta, both traces. *)
+    register/memory/hazard delta (hazards rendered as text), both
+    traces. *)
 
 val divergence_to_string : divergence -> string

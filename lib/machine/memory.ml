@@ -167,6 +167,22 @@ let get t addr =
   check_bounds t addr "get";
   peek t addr
 
+(* Untouched pages are all zero, so only allocated ones are visited: the
+   cost is in the touched pages, not in [words]. *)
+let fold_nonzero f t init =
+  let acc = ref init in
+  Array.iteri
+    (fun i page ->
+      if page != no_page then begin
+        let base = i lsl page_bits in
+        for j = 0 to min page_size (t.words - base) - 1 do
+          let v = page.(j) in
+          if not (Value.equal v Value.zero) then acc := f (base + j) v !acc
+        done
+      end)
+    t.pages;
+  !acc
+
 let load_block t ~addr values =
   Array.iteri (fun i v -> set t (addr + i) v) values
 

@@ -56,6 +56,13 @@ val set : t -> int -> Value.t -> unit
 val get : t -> int -> Value.t
 (** Direct read for result checking; raises [Invalid_argument]. *)
 
+val fold_nonzero : (int -> Value.t -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+(** [fold_nonzero f t init] folds [f addr value] over every non-zero
+    word in ascending address order — the same words a {!get} scan of
+    [0 .. words - 1] finds.  Only allocated pages are visited, so the
+    cost is proportional to the pages the run has written, not to
+    {!words}. *)
+
 val load_block : t -> addr:int -> Value.t array -> unit
 (** Initialise consecutive words starting at [addr]. *)
 

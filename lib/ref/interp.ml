@@ -10,6 +10,9 @@ module Run = Ximd_core.Run
    semantics (paper §2.2), written to be read against PAPER.md and
    DESIGN.md §5 rather than to be fast: plain lists, fresh allocation
    every cycle, no arenas, no dirty stacks, no hooks, no observability.
+   It is slow by constant factors only: the hazard, trace and port
+   logs are consed newest first and reversed once by [observation], so
+   a run costs time linear in its length.
    Its single job is to be obviously correct, so that the optimised
    {!Ximd_core.Engine} can be judged against it in lockstep
    ({!Ximd_gen.Diff}) on any program the engine accepts.
@@ -58,18 +61,18 @@ type machine = {
   n : int;  (* number of FUs *)
   registers : Value.t array;
   mutable memory : (int * Value.t) list;  (* sparse; absent = zero *)
-  port_writes : (int * Value.t) list array;  (* chronological per port *)
+  port_writes : (int * Value.t) list array;  (* per port, newest first *)
   pcs : int array;
   ccs : bool option array;
   sss : Sync.t array;
   halted : bool array;
   mutable cycle : int;
   mutable pending : pending_write list;  (* issue order *)
-  mutable hazards : (int * Hazard.t) list;  (* chronological *)
-  mutable trace : Observation.row list;  (* chronological *)
+  mutable hazards : (int * Hazard.t) list;  (* newest first *)
+  mutable trace : Observation.row list;  (* newest first *)
 }
 
-let hazard m h = m.hazards <- m.hazards @ [ (m.cycle, h) ]
+let hazard m h = m.hazards <- (m.cycle, h) :: m.hazards
 
 (* ------------------------------------------------------------------ *)
 (* Streams: how FUs group under each sequencing model (paper Figure 3) *)
@@ -140,7 +143,7 @@ let read_port m ~fu port =
 let write_port m ~fu port value =
   if port < 0 || port >= m.config.n_ports then
     hazard m (Hazard.Port_out_of_range { port; fu })
-  else m.port_writes.(port) <- m.port_writes.(port) @ [ (m.cycle, value) ]
+  else m.port_writes.(port) <- (m.cycle, value) :: m.port_writes.(port)
 
 (* ------------------------------------------------------------------ *)
 (* The ALU, restated from first principles (independent of
@@ -377,7 +380,7 @@ let record_trace m =
       ccs = Array.copy m.ccs;
       sss = Array.copy m.sss }
   in
-  m.trace <- m.trace @ [ row ]
+  m.trace <- row :: m.trace
 
 let all_halted m = Array.for_all Fun.id m.halted
 
@@ -576,11 +579,10 @@ let observation m outcome =
         (fun port ->
           match m.port_writes.(port) with
           | [] -> None
-          | writes -> Some (port, writes))
+          | writes -> Some (port, List.rev writes))
         (List.init m.config.n_ports (fun p -> p));
-    hazards =
-      List.map (fun (cycle, h) -> (cycle, Hazard.to_string h)) m.hazards;
-    trace = m.trace }
+    hazards = List.rev m.hazards;
+    trace = List.rev m.trace }
 
 let run ?(model = Per_fu) ?(config = Config.default) ?setup program =
   validate model program config;

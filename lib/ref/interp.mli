@@ -2,9 +2,11 @@
 
     A deliberately slow, straight-line implementation of the XIMD cycle
     semantics, written to be read against PAPER.md and DESIGN.md rather
-    than to be fast.  Its single job is to be obviously correct, so that
-    the optimised {!Ximd_core.Engine} can be judged against it in
-    lockstep ({!Ximd_gen.Diff}) on any program the engine accepts.
+    than to be fast.  It is slow by constant factors, not asymptotically:
+    a run costs time linear in the cycles it executes.  Its single job
+    is to be obviously correct, so that the optimised
+    {!Ximd_core.Engine} can be judged against it in lockstep
+    ({!Ximd_gen.Diff}) on any program the engine accepts.
 
     Hazards are always recorded, never raised.  Faults, scripted I/O
     input, watchdogs and observability are out of scope: the conformance

@@ -20,7 +20,9 @@ type t = {
   memory : (int * Value.t) list;  (* non-zero words, ascending address *)
   io_out : (int * (int * Value.t) list) list;
       (* port -> (cycle, value) write log, ports with output only *)
-  hazards : (int * string) list;  (* (cycle, rendered hazard), in order *)
+  hazards : (int * Ximd_machine.Hazard.t) list;
+      (* (cycle, hazard), in order; rendered only by [summary] and by
+         divergence reports *)
   trace : row list;  (* one row per executed cycle, oldest first *)
 }
 
@@ -55,7 +57,7 @@ let equal a b =
               (fun (c, v) (d, w) -> c = d && Value.equal v w)
               l m)
        a.io_out b.io_out
-  && List.equal (fun (c, h) (d, i) -> c = d && h = i) a.hazards b.hazards
+  && a.hazards = b.hazards
   && List.equal row_equal a.trace b.trace
 
 let pp_row fmt r =
@@ -99,5 +101,8 @@ let summary t =
           add "out[%d] @%d = %ld\n" port cycle (Value.to_int32 v))
         writes)
     t.io_out;
-  List.iter (fun (cycle, h) -> add "hazard @%d: %s\n" cycle h) t.hazards;
+  List.iter
+    (fun (cycle, h) ->
+      add "hazard @%d: %s\n" cycle (Ximd_machine.Hazard.to_string h))
+    t.hazards;
   Buffer.contents buf

@@ -16,7 +16,12 @@ type t = {
   memory : (int * Value.t) list;  (** non-zero words, ascending address *)
   io_out : (int * (int * Value.t) list) list;
       (** port -> (cycle, value) write log, ports with output only *)
-  hazards : (int * string) list;  (** (cycle, rendered hazard), in order *)
+  hazards : (int * Ximd_machine.Hazard.t) list;
+      (** (cycle, hazard), in occurrence order.  Typed, and compared
+          structurally — exactly as strict as comparing the rendered
+          text, since {!Ximd_machine.Hazard.to_string} is injective —
+          so neither side pays for rendering on every run; the text is
+          produced only by {!summary} and by divergence reports. *)
   trace : row list;  (** one row per executed cycle, oldest first *)
 }
 

@@ -139,6 +139,55 @@ let test_shrink_reaches_minimum () =
   let shrunk = Shrink.minimise ~predicate:(fun _ -> true) case in
   Alcotest.(check int) "one parcel left" 1 (Shrink.parcels shrunk)
 
+(* --- Hazard logs ----------------------------------------------------------- *)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+(* Typed hazards differing only in a [fus] list are a divergence, and
+   the report renders both as text. *)
+let test_hazard_fus_diverge () =
+  let program =
+    match
+      Ximd_asm.Source.parse
+        ".fus 2\n  [0] mov #10, r1 | halt\n  [1] mov #20, r1 | halt\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %a" Ximd_asm.Source.pp_error e
+  in
+  let config = Ximd_core.Config.make ~n_fus:2 () in
+  let reference = Diff.observe_reference Diff.Per_fu program config in
+  let engine =
+    { reference with
+      Ximd_ref.Observation.hazards =
+        List.map
+          (fun (cycle, h) ->
+            match h with
+            | Ximd_machine.Hazard.Multiple_reg_write { reg; fus } ->
+              ( cycle,
+                Ximd_machine.Hazard.Multiple_reg_write
+                  { reg; fus = List.rev fus } )
+            | h -> (cycle, h))
+          reference.hazards }
+  in
+  Alcotest.(check bool) "the two logs differ" false
+    (reference.hazards = engine.hazards);
+  match Diff.compare_observations Diff.Per_fu reference engine with
+  | None -> Alcotest.fail "expected a divergence"
+  | Some d ->
+    Alcotest.(check bool) "detail names the hazard log" true
+      (contains d.detail "hazard logs differ");
+    let report = Diff.divergence_to_string d in
+    List.iter
+      (fun text ->
+        if not (contains report text) then
+          Alcotest.failf "report lacks %S:\n%s" text report)
+      [ "multiple writes to r1 by FUs 0,1"; "multiple writes to r1 by FUs 1,0" ]
+
 (* --- Conformance plumbing ------------------------------------------------ *)
 
 let test_directives_roundtrip () =
@@ -169,13 +218,6 @@ let test_directives_roundtrip () =
 (* The loader hardening contract: malformed directives are structured
    errors naming the line, never exceptions. *)
 let test_directives_malformed () =
-  let contains haystack needle =
-    let nh = String.length haystack and nn = String.length needle in
-    let rec go i =
-      i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-    in
-    go 0
-  in
   let expect_error what source pattern =
     match Conform.parse_directives source with
     | Ok _ -> Alcotest.failf "%s: expected an error" what
@@ -212,6 +254,8 @@ let suite =
         Alcotest.test_case "index variation" `Quick
           test_generate_varies_with_index;
         Alcotest.test_case "applicable models" `Quick test_applicable_models;
+        Alcotest.test_case "hazard fus differ: divergence" `Quick
+          test_hazard_fus_diverge;
         Alcotest.test_case "shrink to minimum" `Quick
           test_shrink_reaches_minimum;
         Alcotest.test_case "conf directives" `Quick test_directives_roundtrip;

@@ -262,6 +262,109 @@ let test_ioport_script_validation () =
      | exception Invalid_argument _ -> true
      | () -> false)
 
+(* --- Memory.fold_nonzero against the naive scan ----------------------- *)
+
+module Gen = QCheck2.Gen
+
+type mem_op =
+  | Set of int * int
+  | Stage of { fu : int; addr : int; v : int }
+  | Commit
+  | Reset
+
+(* Memories of every shape the fold must handle: a partial single page
+   (64, 192 words) and the research model's 64 pages, each shared and
+   split into four per-FU banks. *)
+let gen_memory_shape =
+  Gen.pair
+    (Gen.oneofl [ 64; 192; 65536 ])
+    (Gen.oneofl [ M.Memory.Shared; M.Memory.Distributed { n_fus = 4 } ])
+
+let gen_mem_ops words =
+  (* Small values, zero often, so words are overwritten with zero and
+     allocated pages come to hold zeros. *)
+  let addr = Gen.oneof [ Gen.int_bound (words - 1); Gen.int_bound 7 ] in
+  let v = Gen.frequency [ (2, Gen.return 0); (3, Gen.int_range (-3) 3) ] in
+  Gen.list_size (Gen.int_bound 40)
+    (Gen.frequency
+       [ (4, Gen.map2 (fun a v -> Set (a, v)) addr v);
+         ( 4,
+           Gen.map3
+             (fun fu addr v -> Stage { fu; addr; v })
+             (Gen.int_bound 3) addr v );
+         (3, Gen.return Commit);
+         (1, Gen.return Reset) ])
+
+let apply_mem_op mem log = function
+  | Set (a, v) -> M.Memory.set mem a (Value.of_int v)
+  | Stage { fu; addr; v } ->
+    M.Memory.stage_write mem ~fu ~cycle:0 ~log addr (Value.of_int v)
+  | Commit -> M.Memory.commit mem ~cycle:0 ~log
+  | Reset -> M.Memory.reset mem
+
+let prop_fold_nonzero_is_scan =
+  QCheck2.Test.make ~count:300
+    ~name:"Memory.fold_nonzero = get scan of every word"
+    (Gen.bind gen_memory_shape (fun (words, organisation) ->
+       Gen.map3
+         (fun a v ops -> (words, organisation, a, v, ops))
+         (Gen.int_bound (words - 1))
+         (Gen.int_range 1 9) (gen_mem_ops words)))
+    (fun (words, organisation, a, v, ops) ->
+      let mem = M.Memory.create ~organisation ~words () in
+      let log = fresh_log () in
+      (* a word written non-zero, then zero: its page stays allocated *)
+      M.Memory.set mem a (Value.of_int v);
+      M.Memory.set mem a Value.zero;
+      List.iter (apply_mem_op mem log) ops;
+      let scan = ref [] in
+      for addr = words - 1 downto 0 do
+        let x = M.Memory.get mem addr in
+        if not (Value.equal x Value.zero) then scan := (addr, x) :: !scan
+      done;
+      let fold =
+        List.rev
+          (M.Memory.fold_nonzero (fun addr x acc -> (addr, x) :: acc) mem [])
+      in
+      fold = !scan)
+
+(* --- Hazard equality is rendered-text equality ------------------------- *)
+
+(* Small domains so that pairs differing in a single field are common. *)
+let gen_hazard =
+  let small = Gen.int_range (-1) 2 in
+  let fus = Gen.list_size (Gen.int_bound 2) (Gen.int_bound 2) in
+  Gen.oneof
+    [ Gen.map2
+        (fun r fus -> M.Hazard.Multiple_reg_write { reg = Reg.make r; fus })
+        (Gen.int_bound 2) fus;
+      Gen.map2
+        (fun addr fus -> M.Hazard.Multiple_mem_write { addr; fus })
+        small fus;
+      Gen.map2
+        (fun addr fu -> M.Hazard.Mem_out_of_bounds { addr; fu })
+        small small;
+      Gen.map (fun fu -> M.Hazard.Div_by_zero { fu }) small;
+      Gen.map2 (fun cc fu -> M.Hazard.Undefined_cc { cc; fu }) small small;
+      Gen.map2 (fun fu addr -> M.Hazard.Fell_off_end { fu; addr }) small small;
+      Gen.map2
+        (fun port fu -> M.Hazard.Port_out_of_range { port; fu })
+        small small ]
+
+(* A quarter of the pairs are a hazard and a structurally equal but
+   physically distinct copy of it. *)
+let gen_hazard_pair =
+  Gen.bind gen_hazard (fun h1 ->
+    Gen.frequency
+      [ (1, Gen.return (h1, Marshal.from_string (Marshal.to_string h1 []) 0));
+        (3, Gen.map (fun h2 -> (h1, h2)) gen_hazard) ])
+
+let prop_hazard_equal_iff_rendered_equal =
+  QCheck2.Test.make ~count:2000
+    ~name:"Hazard: h1 = h2 iff to_string h1 = to_string h2" gen_hazard_pair
+    (fun (h1, h2) ->
+      h1 = h2 = String.equal (M.Hazard.to_string h1) (M.Hazard.to_string h2))
+
 let suite =
   [ ( "machine",
       [ Alcotest.test_case "regfile staging" `Quick test_regfile_staging;
@@ -292,4 +395,7 @@ let suite =
         Alcotest.test_case "ioport write log" `Quick test_ioport_write_log;
         Alcotest.test_case "ioport range" `Quick test_ioport_range;
         Alcotest.test_case "ioport script validation" `Quick
-          test_ioport_script_validation ] ) ]
+          test_ioport_script_validation ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_fold_nonzero_is_scan; prop_hazard_equal_iff_rendered_equal ]
+    ) ]

@@ -451,6 +451,43 @@ let test_setup_preloads_state () =
   in
   check_reg obs "setup reg + mem" 3 42
 
+(* --- Log order over a long run ------------------------------------------ *)
+
+let test_long_run_log_order () =
+  (* Every cycle FU0 divides by zero, FU1 writes the cycle count (r2,
+     kept by FU2) to port 1; the loop runs until fuel runs out.  The
+     hazard, trace and port logs are built newest first and reversed
+     once, so each must come out oldest first. *)
+  let n = 300 in
+  let config = Ximd_core.Config.make ~n_fus:3 ~max_cycles:n () in
+  let obs =
+    run ~config
+      {|
+.fus 3
+  [0] idiv #7, #0, r1 | -> @0
+  [1] out r2, #1      | -> @0
+  [2] iadd r2, #1, r2 | -> @0
+|}
+  in
+  Alcotest.(check (list int)) "trace cycles ascend" (List.init n Fun.id)
+    (List.map (fun (r : Obs.row) -> r.cycle) obs.Obs.trace);
+  Alcotest.(check (list int)) "hazards chronological" (List.init n Fun.id)
+    (List.map fst obs.Obs.hazards);
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "port writes chronological"
+    [ (1, List.init n (fun c -> (c, c))) ]
+    (List.map
+       (fun (p, ws) -> (p, List.map (fun (c, v) -> (c, Value.to_int v)) ws))
+       obs.Obs.io_out);
+  let expected =
+    String.concat ""
+      ([ "outcome: fuel-exhausted/300\n"; "reg r2 = 300\n" ]
+      @ List.init n (fun c -> Printf.sprintf "out[1] @%d = %d\n" c c)
+      @ List.init n (fun c ->
+          Printf.sprintf "hazard @%d: FU0 divided by zero\n" c))
+  in
+  Alcotest.(check string) "summary" expected (Obs.summary obs)
+
 let suite =
   [ ( "reference interpreter",
       [ Alcotest.test_case "integer arithmetic" `Quick test_int_arith;
@@ -477,4 +514,6 @@ let suite =
         Alcotest.test_case "multi-write tie break" `Quick
           test_multi_write_tie_break;
         Alcotest.test_case "setup preloads state" `Quick
-          test_setup_preloads_state ] ) ]
+          test_setup_preloads_state;
+        Alcotest.test_case "long run: logs oldest first" `Quick
+          test_long_run_log_order ] ) ]
